@@ -1,10 +1,11 @@
 //! Work-stealing portfolio solver.
 //!
-//! [`parallel_solve`](crate::parallel_solve) runs one greedy/refit solver
-//! per seed — embarrassingly parallel, but every worker runs the *same*
-//! strategy and learns nothing from the others. The portfolio keeps those
-//! independent restarts as its backbone (so it can never do worse) and
-//! layers two cooperation mechanisms on top:
+//! The paper's search restarts many times; independent restarts are
+//! embarrassingly parallel. With cooperation off the portfolio is
+//! exactly that independent-restart driver: one greedy/refit solver per
+//! seed, spread over worker threads, keeping the best. With cooperation
+//! on (the default) it keeps those restarts as its backbone (so it can
+//! never do worse) and layers two cooperation mechanisms on top:
 //!
 //! * **a shared incumbent** — a seqlock-style slot (atomic epoch + atomic
 //!   cost bits + guarded payload) every finished task publishes into.
@@ -24,12 +25,12 @@
 //!
 //! The final winner is an order-independent *min* over all task results
 //! under the total order (score, seed, strategy rank). Greedy tasks run
-//! the exact same solver, seeds, and budget as
-//! [`parallel_solve`](crate::parallel_solve), and shared-cache replays are
-//! bit-identical, so the portfolio's winner costs no more than the
-//! independent-restart baseline's regardless of thread scheduling. With
-//! one worker and cooperation off the portfolio *is* the sequential
-//! min-over-seeds, bit for bit.
+//! the exact same solver, seeds, and budget whether cooperation is on or
+//! off, and shared-cache replays are bit-identical, so the cooperative
+//! winner costs no more than the independent-restart baseline's
+//! regardless of thread scheduling. With cooperation off the winner is
+//! the sequential min-over-seeds (ties to the lowest seed), bit for bit,
+//! at any worker count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,7 +181,7 @@ impl SharedIncumbent {
 #[derive(Debug, Clone)]
 pub struct PortfolioOutcome {
     /// The winning design and merged run statistics (stats are summed
-    /// over every task, like [`crate::parallel_solve`]).
+    /// over every task).
     pub outcome: SolveOutcome,
     /// Worker threads used.
     pub workers: usize,
@@ -240,10 +241,10 @@ impl<'e> Portfolio<'e> {
         self.workers
     }
 
-    /// Toggles cooperation. When off, only the greedy baseline tasks run
-    /// — one worker then reproduces the sequential min-over-seeds bit for
-    /// bit; many workers reproduce [`crate::parallel_solve`] (with its
-    /// lowest-seed tie-break).
+    /// Toggles cooperation. When off, only the greedy baseline tasks run:
+    /// the portfolio is then the independent-restart driver, and at any
+    /// worker count its winner is the sequential min-over-seeds bit for
+    /// bit (equal costs break to the lowest seed).
     #[must_use]
     pub fn with_cooperation(mut self, cooperation: bool) -> Self {
         self.cooperation = cooperation;
@@ -538,12 +539,63 @@ mod tests {
         );
     }
 
+    /// Independent restarts on `seeds.len()` workers: the no-cooperation
+    /// portfolio.
+    fn restarts(e: &Environment, budget: Budget, seeds: &[u64]) -> SolveOutcome {
+        Portfolio::new(e)
+            .with_workers(seeds.len())
+            .with_cooperation(false)
+            .solve(budget, seeds)
+            .outcome
+    }
+
+    #[test]
+    fn restarts_beat_or_match_each_single_seed() {
+        let e = env();
+        let budget = Budget::iterations(10);
+        let par = restarts(&e, budget, &[1, 2, 3]);
+        let par_cost = par.best.as_ref().unwrap().cost().total();
+        for seed in [1u64, 2, 3] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let single = DesignSolver::new(&e).solve(budget, &mut rng);
+            if let Some(best) = single.best {
+                assert!(par_cost <= best.cost().total());
+            }
+        }
+        // Stats summed over the three runs.
+        assert!(par.stats.greedy_builds >= 3);
+    }
+
+    #[test]
+    fn restart_ties_break_by_lowest_seed_regardless_of_scheduling() {
+        let e = env();
+        let budget = Budget::iterations(10);
+        let cost_bits =
+            |out: &SolveOutcome| out.best.as_ref().map(|c| c.cost().total().as_f64().to_bits());
+        // Duplicated seeds force exact cost ties; the merge must then be
+        // deterministic across runs even though thread finish order is
+        // not. Shuffled seed order must not change the winner either.
+        let a = restarts(&e, budget, &[5, 5, 5, 5]);
+        let b = restarts(&e, budget, &[5, 5, 5, 5]);
+        assert_eq!(cost_bits(&a), cost_bits(&b));
+        let fwd = restarts(&e, budget, &[1, 2, 3]);
+        let rev = restarts(&e, budget, &[3, 2, 1]);
+        assert_eq!(cost_bits(&fwd), cost_bits(&rev));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one seed")]
+    fn empty_seed_list_rejected() {
+        let e = env();
+        let _ = Portfolio::new(&e).solve(Budget::iterations(1), &[]);
+    }
+
     #[test]
     fn cooperative_portfolio_bounded_by_baseline_and_lower_bound() {
         let e = env();
         let budget = Budget::iterations(10);
         let seeds = [1u64, 2, 3, 4];
-        let baseline = crate::parallel::parallel_solve(&e, budget, &seeds);
+        let baseline = restarts(&e, budget, &seeds);
         let baseline_cost = e.score(baseline.best.expect("feasible").cost());
         let portfolio = Portfolio::new(&e).with_workers(4).solve(budget, &seeds);
         let portfolio_cost = e.score(portfolio.outcome.best.expect("feasible").cost());

@@ -2,7 +2,7 @@
 //! trace and metrics must describe the search faithfully, and recording
 //! must never change what the search computes.
 
-use dsd_core::{parallel_solve, Budget, DesignSolver, Environment, EvalCache, SolveStats};
+use dsd_core::{Budget, DesignSolver, Environment, EvalCache, Portfolio, SolveStats};
 use dsd_failure::{FailureModel, FailureRates};
 use dsd_obs as obs;
 use dsd_protection::TechniqueCatalog;
@@ -284,23 +284,33 @@ mod recording {
         assert_eq!(snap.gauges.get("cache.hit_ratio"), Some(&cs.hit_rate()));
     }
 
-    /// `parallel_solve` must propagate the caller's recorder into its
-    /// workers: every seed's events and metrics land in the one sink,
-    /// and per-run stats published by each worker sum losslessly.
+    /// The no-cooperation portfolio must propagate the caller's recorder
+    /// into its workers: every seed's events and metrics land in the one
+    /// sink, and per-run stats published by each worker sum losslessly.
     #[test]
-    fn parallel_solve_propagates_recorder_to_workers() {
+    fn no_cooperation_portfolio_propagates_recorder_to_workers() {
         let e = env(4);
+        let seeds = [1u64, 2, 3];
         let recorder = obs::Recorder::new();
-        let out = {
+        let run = {
             let _g = recorder.install();
-            parallel_solve(&e, Budget::iterations(8), &[1, 2, 3])
+            Portfolio::new(&e)
+                .with_workers(seeds.len())
+                .with_cooperation(false)
+                .solve(Budget::iterations(8), &seeds)
         };
+        let out = run.outcome;
         let events = recorder.drain_events();
         let solves = events.iter().filter(|ev| ev.name == "solver.solve").count();
-        assert_eq!(solves, 3, "one solve span per worker");
+        assert_eq!(solves, 3, "one solve span per seed");
         let threads: std::collections::BTreeSet<u64> =
             events.iter().filter(|ev| ev.name == "solver.solve").map(|ev| ev.thread).collect();
-        assert_eq!(threads.len(), 3, "workers record under distinct thread ids");
+        // Each worker owns one seed's task unless a faster worker stole it.
+        let stolen = usize::try_from(run.steals).expect("steal count fits");
+        assert!(
+            (seeds.len() - stolen..=seeds.len()).contains(&threads.len()),
+            "workers record under distinct thread ids: {threads:?}, {stolen} steals"
+        );
         let snap = recorder.metrics_snapshot();
         // Summed stats across workers equal the registry view.
         let view = SolveStats::from_snapshot(&snap);

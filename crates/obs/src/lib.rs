@@ -8,7 +8,7 @@
 //!
 //! * a **tracing core** ([`Recorder`], [`span`], [`instant`]): span
 //!   guards with monotonic timing, collected through per-thread buffers
-//!   so `parallel_solve` workers never contend on the hot path;
+//!   so portfolio workers never contend on the hot path;
 //! * a **metrics registry** ([`MetricsRegistry`]): named counters,
 //!   gauges, and log-linear [`Histogram`]s (e.g. `solver.eval_latency`,
 //!   `cache.hit_ratio`, `recovery.schedule_len`), snapshotable to JSON;

@@ -1,12 +1,13 @@
 //! Property-based integration tests over randomized environments.
 
 use dsd::core::{
-    parallel_solve_with_cache, Budget, CandidateKey, ConfigurationSolver, DesignSolver,
-    Environment, EvalCache, Reconfigurator, Thoroughness, DEFAULT_CACHE_CAPACITY,
+    Budget, CandidateKey, ConfigurationSolver, DesignSolver, Environment, EvalCache, Portfolio,
+    Reconfigurator, Thoroughness, DEFAULT_CACHE_CAPACITY,
 };
 use dsd::failure::{FailureModel, FailureRates};
 use dsd::protection::TechniqueCatalog;
 use dsd::resources::{DeviceSpec, NetworkSpec, Site, Topology};
+use dsd::scenarios::fleet::{fleet, FleetParams};
 use dsd::workload::{GeneratorConfig, WorkloadGenerator};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -182,21 +183,30 @@ fn tiny_cache_still_gives_identical_results() {
     assert!(cache.len() <= 4, "LRU may never exceed capacity");
 }
 
-#[test]
-fn parallel_shared_cache_beats_or_matches_every_single_seed() {
-    let env = dsd::scenarios::environments::peer_sites_with(4);
-    let budget = Budget::iterations(8);
-    let seeds = [1u64, 2, 3];
+/// Independent restarts (the no-cooperation portfolio) over one shared
+/// cache beat or match every single seed, and the cooperative portfolio
+/// on the same seeds is solvable, never loses to those restarts, and
+/// never dips below the certified lower bound.
+fn assert_restarts_and_portfolio_ordered(
+    env: &Environment,
+    budget: Budget,
+    seeds: &[u64],
+    workers: usize,
+) -> dsd::core::CacheStats {
     let cache = EvalCache::new(DEFAULT_CACHE_CAPACITY);
-    let par = parallel_solve_with_cache(&env, budget, &seeds, &cache);
-    let par_cost = par.best.as_ref().expect("peer sites are solvable").cost().total();
-    for seed in seeds {
+    let par = Portfolio::new(env)
+        .with_workers(workers)
+        .with_cooperation(false)
+        .solve_with_cache(budget, seeds, &cache)
+        .outcome;
+    let par_cost = env.score(par.best.as_ref().expect("instance is solvable").cost());
+    for &seed in seeds {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        if let Some(best) = DesignSolver::new(&env).solve(budget, &mut rng).best {
+        if let Some(best) = DesignSolver::new(env).solve(budget, &mut rng).best {
+            let single = env.score(best.cost());
             assert!(
-                par_cost <= best.cost().total(),
-                "shared-cache fan-out lost to seed {seed}: {par_cost} > {}",
-                best.cost().total()
+                par_cost <= single,
+                "shared-cache fan-out lost to seed {seed}: {par_cost} > {single}"
             );
         }
     }
@@ -205,7 +215,35 @@ fn parallel_shared_cache_beats_or_matches_every_single_seed() {
     // raw evaluations, so lookups are a subset of all nodes evaluated).
     assert!(stats.hits + stats.misses <= par.stats.nodes_evaluated);
     assert_eq!(stats.hits + stats.misses, par.stats.cache_hits + par.stats.cache_misses);
+
+    let cooperative = Portfolio::new(env).with_workers(workers).solve(budget, seeds).outcome;
+    let cooperative_cost =
+        env.score(cooperative.best.as_ref().expect("instance is solvable").cost());
+    assert!(
+        cooperative_cost <= par_cost,
+        "portfolio {cooperative_cost} must not lose to independent restarts {par_cost}"
+    );
+    let bound = env.certified_lower_bound().total;
+    assert!(
+        cooperative_cost.as_f64() >= bound.as_f64() - 1e-6,
+        "portfolio {cooperative_cost} below certified lower bound {bound}"
+    );
+    stats
+}
+
+#[test]
+fn parallel_shared_cache_beats_or_matches_every_single_seed() {
+    let env = dsd::scenarios::environments::peer_sites_with(4);
+    let seeds = [1u64, 2, 3];
+    let stats =
+        assert_restarts_and_portfolio_ordered(&env, Budget::iterations(8), &seeds, seeds.len());
     assert!(stats.hits > 0, "three seeds on one environment must share completions");
+    // Seeded fleets: an unsolvable instance means the generator
+    // under-provisioned sites or routes.
+    for apps in [4, 8] {
+        let env = fleet(&FleetParams::new(apps));
+        assert_restarts_and_portfolio_ordered(&env, Budget::iterations(10), &[2006, 2007], 2);
+    }
 }
 
 // ---------------------------------------------------------------------
