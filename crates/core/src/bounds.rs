@@ -44,7 +44,8 @@
 
 use serde::Serialize;
 
-use dsd_protection::Technique;
+use dsd_protection::{Technique, TechniqueId};
+use dsd_resources::ArrayRef;
 use dsd_units::{Dollars, HOURS_PER_YEAR};
 use dsd_workload::{AppId, ApplicationWorkload};
 
@@ -295,11 +296,71 @@ impl LowerBound {
 
 /// Computes the relaxation lower bound for an environment.
 ///
-/// Cost: one maxed-singleton evaluation per (app × eligible technique ×
-/// placement × grid configuration) — a few thousand cheap single-app
-/// evaluations on paper-sized environments.
+/// Cost: one maxed-singleton pricing per (app × eligible technique ×
+/// *distinct* placement × grid configuration), penalties only — a
+/// placement whose primary or mirror is a spec-identical twin of an
+/// earlier slot at its site prices exactly like that slot and is skipped
+/// (see `first_of_its_spec`). On the four-site fleet(32) mesh, whose
+/// sites repeat the paper's slot set, that is 55,296 single-app
+/// penalty evaluations instead of 220,032 full ones.
 #[must_use]
 pub fn lower_bound(env: &Environment) -> LowerBound {
+    lower_bound_with(env, distinct_penalty_floor)
+}
+
+/// Whether `r` is the first array slot at its site with its spec. A
+/// fresh singleton's priced quantities read slot *specs*, never slot
+/// indices: one primary yields exactly one disk-array scenario, backups
+/// go to the site's first library, and feasibility depends only on spec,
+/// site and route. So a later twin prices bit for bit like this slot. A
+/// spec unequal to itself (a NaN field) matches no earlier slot and
+/// stays its own class.
+fn first_of_its_spec(env: &Environment, r: ArrayRef) -> bool {
+    let slots = &env.topology.site(r.site).array_slots;
+    !slots[..r.slot].contains(&slots[r.slot])
+}
+
+/// Minimum maxed-singleton penalty of `app` under technique `tid` over
+/// every distinct placement and grid configuration, or `None` when no
+/// singleton assignment fits. Every skipped twin placement is enumerated
+/// after its canonical one and prices to the same bits, so the minimum
+/// (and whether one exists) is unchanged.
+fn distinct_penalty_floor(
+    env: &Environment,
+    app: &ApplicationWorkload,
+    tid: TechniqueId,
+    t: &Technique,
+) -> Option<Dollars> {
+    let configs = t.config_space();
+    let mut penalty: Option<Dollars> = None;
+    for placement in PlacementOptions::enumerate(env, tid) {
+        if !first_of_its_spec(env, placement.primary)
+            || placement.mirror.is_some_and(|m| !first_of_its_spec(env, m))
+        {
+            continue;
+        }
+        for &config in &configs {
+            let mut singleton = Candidate::empty(env);
+            if singleton.try_assign(env, app.id, tid, config, placement).is_err() {
+                continue;
+            }
+            max_out(env, &mut singleton);
+            let p = singleton.penalties(env).total();
+            if penalty.is_none_or(|b| p < b) {
+                penalty = Some(p);
+            }
+        }
+    }
+    penalty
+}
+
+/// A per-(app, technique) penalty floor, `None` when no singleton fits.
+type PenaltyFloor =
+    fn(&Environment, &ApplicationWorkload, TechniqueId, &Technique) -> Option<Dollars>;
+
+/// [`lower_bound`] with the per-(app, technique) penalty floor supplied
+/// by `penalty_floor`.
+fn lower_bound_with(env: &Environment, penalty_floor: PenaltyFloor) -> LowerBound {
     let rates = Rates::of(env);
     let mut per_app = Vec::with_capacity(env.workloads.len());
     let mut mirror_forced = false;
@@ -315,21 +376,7 @@ pub fn lower_bound(env: &Environment) -> LowerBound {
 
         for (tid, t) in env.catalog.eligible_for(class) {
             let outlay = technique_outlay_floor(env, app, t, &rates);
-            let mut penalty: Option<Dollars> = None;
-            for placement in PlacementOptions::enumerate(env, tid) {
-                for config in t.config_space() {
-                    let mut singleton = Candidate::empty(env);
-                    if singleton.try_assign(env, app.id, tid, config, placement).is_err() {
-                        continue;
-                    }
-                    max_out(env, &mut singleton);
-                    let p = singleton.evaluate(env).penalties.total();
-                    if penalty.is_none_or(|b| p < b) {
-                        penalty = Some(p);
-                    }
-                }
-            }
-            let Some(penalty) = penalty else { continue };
+            let Some(penalty) = penalty_floor(env, app, tid, t) else { continue };
             placeable_any = true;
             placeable_all_mirror &= t.has_mirror();
             placeable_all_backup &= t.has_backup();
@@ -506,8 +553,8 @@ mod tests {
     use crate::exhaustive::{exhaustive_optimal_with, ExhaustiveOptions};
     use dsd_failure::{FailureModel, FailureRates};
     use dsd_protection::TechniqueCatalog;
-    use dsd_resources::{DeviceSpec, NetworkSpec, Site, Topology};
-    use dsd_workload::WorkloadSet;
+    use dsd_resources::{DeviceSpec, NetworkSpec, Route, Site, SiteId, Topology};
+    use dsd_workload::{GeneratorConfig, WorkloadGenerator, WorkloadSet};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -627,5 +674,154 @@ mod tests {
             let state = c.provision().array(r).unwrap();
             assert_eq!(state.capacity_units + state.extra_units, spec.max_capacity_units);
         }
+    }
+
+    /// The exhaustive penalty floor: every placement, twins included,
+    /// priced by a full evaluation. [`lower_bound`] must match it bit for
+    /// bit.
+    fn reference_penalty_floor(
+        env: &Environment,
+        app: &ApplicationWorkload,
+        tid: TechniqueId,
+        t: &Technique,
+    ) -> Option<Dollars> {
+        let mut penalty: Option<Dollars> = None;
+        for placement in PlacementOptions::enumerate(env, tid) {
+            for config in t.config_space() {
+                let mut singleton = Candidate::empty(env);
+                if singleton.try_assign(env, app.id, tid, config, placement).is_err() {
+                    continue;
+                }
+                max_out(env, &mut singleton);
+                let p = singleton.evaluate(env).penalties.total();
+                if penalty.is_none_or(|b| p < b) {
+                    penalty = Some(p);
+                }
+            }
+        }
+        penalty
+    }
+
+    fn assert_matches_reference(env: &Environment, label: &str) {
+        let fast = lower_bound(env);
+        let reference = lower_bound_with(env, reference_penalty_floor);
+        let bits = |d: Dollars| d.as_f64().to_bits();
+        assert_eq!(fast.per_app.len(), reference.per_app.len(), "{label}");
+        for (f, r) in fast.per_app.iter().zip(&reference.per_app) {
+            assert_eq!(f.app, r.app, "{label}");
+            assert_eq!(f.technique, r.technique, "{label}: {} technique", f.app);
+            assert_eq!(bits(f.outlay_floor), bits(r.outlay_floor), "{label}: {} outlay", f.app);
+            assert_eq!(bits(f.penalty_floor), bits(r.penalty_floor), "{label}: {} penalty", f.app);
+        }
+        assert_eq!(bits(fast.enclosure_floor), bits(reference.enclosure_floor), "{label}");
+        assert_eq!(bits(fast.facility_floor), bits(reference.facility_floor), "{label}");
+        assert_eq!(bits(fast.total), bits(reference.total), "{label}: total");
+    }
+
+    /// Sites carrying `slot_sets` copies of the paper's slot set (XP1200,
+    /// MSA1500, tape library), wired by `routes`: one set per site is the
+    /// peer-sites / four-sites layout, more sets are the twin-slot sites
+    /// of the fleet generator, which also scales the link budget per set.
+    fn slot_set_env(
+        workloads: WorkloadSet,
+        sites: usize,
+        slot_sets: u32,
+        routes: &[(usize, usize)],
+    ) -> Environment {
+        let compute = u32::try_from((2 * workloads.len().div_ceil(sites)).max(8)).unwrap();
+        let sites = (0..sites)
+            .map(|i| {
+                let mut site = Site::new(i, format!("S{i}")).with_compute(compute);
+                for _ in 0..slot_sets {
+                    site = site
+                        .with_array_slot(DeviceSpec::xp1200())
+                        .with_array_slot(DeviceSpec::msa1500())
+                        .with_tape_library(DeviceSpec::tape_library_high());
+                }
+                site
+            })
+            .collect();
+        let mut network = NetworkSpec::high();
+        network.max_links *= slot_sets;
+        let routes = routes
+            .iter()
+            .map(|&(a, b)| Route { a: SiteId(a), b: SiteId(b), network: network.clone() })
+            .collect();
+        Environment::new(
+            workloads,
+            Arc::new(Topology::new(sites, routes)),
+            TechniqueCatalog::table2(),
+            FailureModel::new(FailureRates::case_study()),
+        )
+    }
+
+    /// Perturbed paper workloads, spread as in the default fleet.
+    fn spread_workloads(apps: usize, seed: u64) -> WorkloadSet {
+        let config = GeneratorConfig {
+            scale_min: 1.0 / 1.5,
+            scale_max: 1.5,
+            penalty_scale_min: 1.0 / 1.5,
+            penalty_scale_max: 1.5,
+        };
+        WorkloadGenerator::new(config).generate(apps, &mut ChaCha8Rng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn bound_matches_the_exhaustive_reference_on_paper_sites() {
+        let peer = slot_set_env(WorkloadSet::scaled_paper_mix(8), 2, 1, &[(0, 1)]);
+        assert_matches_reference(&peer, "peer sites");
+        let mesh4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        let four = slot_set_env(WorkloadSet::scaled_paper_mix(16), 4, 1, &mesh4);
+        assert_matches_reference(&four, "four sites");
+    }
+
+    #[test]
+    fn bound_matches_the_exhaustive_reference_on_twin_slot_fleets() {
+        let two = slot_set_env(spread_workloads(12, 2006), 2, 2, &[(0, 1)]);
+        assert_matches_reference(&two, "2-site fleet");
+        let shapes: [(&str, &[(usize, usize)]); 3] = [
+            ("ring", &[(0, 1), (1, 2), (2, 3), (0, 3)]),
+            ("mesh", &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            ("hub-spoke", &[(0, 1), (0, 2), (0, 3)]),
+        ];
+        for (i, (shape, routes)) in shapes.into_iter().enumerate() {
+            let env = slot_set_env(spread_workloads(4, 7 + i as u64), 4, 2, routes);
+            assert_matches_reference(&env, shape);
+        }
+    }
+
+    #[test]
+    fn near_twin_slots_are_priced_separately() {
+        // Same spec as the XP1200 after it except for the disk count: a
+        // distinct class, whose merge would price every primary or mirror
+        // on this site's high-end arrays at the smaller maximum.
+        let mut small = DeviceSpec::xp1200();
+        small.max_capacity_units = 16;
+        let site = Site::new(0, "near")
+            .with_array_slot(small)
+            .with_array_slot(DeviceSpec::xp1200())
+            .with_array_slot(DeviceSpec::msa1500())
+            .with_array_slot(DeviceSpec::msa1500())
+            .with_tape_library(DeviceSpec::tape_library_high())
+            .with_compute(8);
+        let mut env = slot_set_env(spread_workloads(6, 11), 2, 2, &[(0, 1)]);
+        let mut sites = env.topology.sites().to_vec();
+        sites[0] = site;
+        env.topology = Arc::new(Topology::new(sites, env.topology.routes().to_vec()));
+
+        let first = |slot| first_of_its_spec(&env, ArrayRef { site: SiteId(0), slot });
+        assert!(first(0) && first(1) && first(2), "near-twins stay distinct");
+        assert!(!first(3), "the exact MSA1500 twin is skipped");
+        assert_matches_reference(&env, "near-twin site");
+    }
+
+    #[test]
+    fn a_spec_unequal_to_itself_is_its_own_class() {
+        let mut odd = DeviceSpec::msa1500();
+        odd.fixed_cost = Dollars::INFINITE * 0.0; // NaN: equal to nothing
+        let site = Site::new(0, "nan").with_array_slot(odd.clone()).with_array_slot(odd);
+        let mut env = slot_set_env(WorkloadSet::scaled_paper_mix(1), 1, 1, &[]);
+        env.topology = Arc::new(Topology::new(vec![site], Vec::new()));
+        assert!(first_of_its_spec(&env, ArrayRef { site: SiteId(0), slot: 1 }));
     }
 }

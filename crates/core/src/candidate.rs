@@ -660,14 +660,22 @@ impl Candidate {
         Ok(())
     }
 
+    /// Likelihood-weighted expected annual penalties over all failure
+    /// scenarios, uncached: the penalty half of [`Candidate::evaluate`],
+    /// for callers that never read the outlay.
+    #[must_use]
+    pub fn penalties(&self, env: &Environment) -> PenaltySummary {
+        let protections = self.protections(env);
+        let scenarios = env.failures.enumerate(self.primaries());
+        let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
+        evaluator.annual_penalties(&protections, &scenarios).0
+    }
+
     /// Evaluates (and caches) the candidate's cost: amortized outlay plus
     /// likelihood-weighted expected penalties over all failure scenarios.
     pub fn evaluate(&mut self, env: &Environment) -> &CostBreakdown {
         if self.cost.is_none() {
-            let protections = self.protections(env);
-            let scenarios = env.failures.enumerate(self.primaries());
-            let evaluator = Evaluator::new(&env.workloads, &self.provision, env.recovery);
-            let (penalties, _) = evaluator.annual_penalties(&protections, &scenarios);
+            let penalties = self.penalties(env);
             let outlay = self.provision.annual_outlay() + self.vault_media_annual(env);
             self.cost = Some(CostBreakdown { outlay, penalties });
         }

@@ -364,7 +364,9 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "multi-minute at fleet scale; the fleet bench runs it in CI at small scale"]
+    #[ignore = "multi-minute at fleet scale; the fleet(4)/fleet(8) solves of \
+                tests/solver_properties.rs::parallel_shared_cache_beats_or_matches_every_single_seed \
+                cover it at small scale"]
     fn large_fleets_are_solvable() {
         use dsd_core::{Budget, DesignSolver};
         use rand::SeedableRng;

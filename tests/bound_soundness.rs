@@ -14,6 +14,7 @@ use dsd::core::{
 use dsd::failure::{FailureModel, FailureRates};
 use dsd::protection::TechniqueCatalog;
 use dsd::resources::{DeviceSpec, NetworkSpec, Site, Topology};
+use dsd::scenarios::fleet::{fleet, FleetParams, SiteGraph};
 use dsd::workload::{GeneratorConfig, WorkloadGenerator};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -21,7 +22,8 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// A randomized but structurally sane environment: paper-style sites,
-/// perturbed paper workloads (same shape as `solver_properties.rs`).
+/// perturbed paper workloads (same shape as `solver_properties.rs`). One
+/// slot set per site, so no two array slots at a site share a spec.
 fn random_env(seed: u64, sites: usize, apps: usize) -> Environment {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let sites: Vec<Site> = (0..sites)
@@ -138,5 +140,21 @@ proptest! {
         // the same certified-above-bound cost.
         let fresh = incumbent.evaluate(&env).total();
         prop_assert!(respects(bound, fresh.as_f64()));
+    }
+
+    /// The bound floors the solver on seeded fleets whose sites repeat
+    /// the paper's slot set: the bound prices only the first of each set
+    /// of spec-identical array slots at a site, and these are the
+    /// instances where that skip is taken.
+    #[test]
+    fn bound_floors_the_solver_on_twin_slot_fleets(seed in 0u64..500, apps in 10usize..=14) {
+        let env = fleet(&FleetParams::new(apps).with_sites(2, SiteGraph::Mesh).with_seed(seed));
+        prop_assert!(env.topology.sites().iter().all(|s| s.array_slots.len() == 4));
+        let bound = lower_bound(&env).total.as_f64();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF1EE7);
+        let outcome = DesignSolver::new(&env).solve(Budget::iterations(6), &mut rng);
+        let best = outcome.best.expect("fleets admit a feasible design");
+        let cost = best.cost().total().as_f64();
+        prop_assert!(respects(bound, cost), "bound {bound} > solver {cost}");
     }
 }
