@@ -4,6 +4,7 @@
 
 use std::error::Error;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -16,7 +17,9 @@ use dsd_core::{
     TournamentConfig, DEFAULT_CACHE_CAPACITY,
 };
 use dsd_recovery::Evaluator;
-use dsd_scenarios::experiments::{ablation, figure2, figure3, figure4, sensitivity, table4};
+use dsd_scenarios::experiments::{
+    ablation, csv, figure2, figure3, figure4, scheduling, sensitivity, table4,
+};
 
 use crate::saved::SavedDesign;
 use crate::spec::EnvironmentSpec;
@@ -251,33 +254,70 @@ pub fn cmd_evaluate(spec_text: &str, design_text: &str) -> Result<String, Box<dy
 }
 
 /// `dsd experiment <name>` — run one of the paper's experiments.
+/// Returns the rendered text and, for experiments that have one, the
+/// CSV `--csv` writes.
+///
+/// `--budget` is the solver's iteration budget, except for `figure2`
+/// (ten random samples per unit) and `figure3_wallclock` (seconds of
+/// wall clock per heuristic, the paper's equal-time setting).
 ///
 /// # Errors
 ///
-/// Unknown experiment names.
-pub fn cmd_experiment(name: &str, options: RunOptions) -> Result<String, Box<dyn Error>> {
+/// Unknown experiment names, and a `figure2` budget whose sample count
+/// overflows.
+pub fn cmd_experiment(
+    name: &str,
+    options: RunOptions,
+) -> Result<(String, Option<String>), Box<dyn Error>> {
+    // The built-in parameters the rows of EXPERIMENTS.md were measured
+    // with.
+    const FIGURE2_BINS: usize = 24;
+    const FIGURE3_PERCENTILE_SAMPLES: usize = 2_000;
+    const ABLATION_SEEDS: u64 = 5;
     let budget = Budget::iterations(options.budget);
     let seed = options.seed;
+    let sweep = |kind: sensitivity::SweepKind| {
+        let fig = sensitivity::run(kind, &kind.paper_rates(), budget, seed);
+        (fig.to_string(), Some(csv::sensitivity_csv(&fig)))
+    };
     let out = match name {
-        "table4" => table4::run(budget, seed)
-            .map(|t| t.to_string())
-            .unwrap_or_else(|| "no feasible design found".into()),
-        "figure2" => figure2::run(options.budget as usize * 10, 30, seed).to_string(),
-        "figure3" => figure3::run(budget, 1000, seed).to_string(),
-        "figure4" => figure4::run(&figure4::paper_app_counts(), budget, seed).to_string(),
-        "figure5" => {
-            let k = sensitivity::SweepKind::DataObject;
-            sensitivity::run(k, &k.paper_rates(), budget, seed).to_string()
+        "table4" => match table4::run(budget, seed) {
+            Some(t) => (t.to_string(), Some(csv::table4_csv(&t))),
+            None => ("no feasible design found\n".into(), None),
+        },
+        "figure2" => {
+            let samples =
+                usize::try_from(options.budget).ok().and_then(|b| b.checked_mul(10)).ok_or_else(
+                    || format!("figure2 budget too large: {} × 10 samples", options.budget),
+                )?;
+            let fig = figure2::run(samples, FIGURE2_BINS, seed);
+            (fig.to_string(), Some(csv::figure2_csv(&fig)))
         }
-        "figure6" => {
-            let k = sensitivity::SweepKind::DiskArray;
-            sensitivity::run(k, &k.paper_rates(), budget, seed).to_string()
+        "figure3" | "figure3_wallclock" => {
+            let budget = if name == "figure3" {
+                budget
+            } else {
+                Budget::wall_clock(Duration::from_secs(options.budget))
+            };
+            let fig = figure3::run(budget, FIGURE3_PERCENTILE_SAMPLES, seed);
+            (fig.to_string(), Some(csv::figure3_csv(&fig)))
         }
-        "figure7" => {
-            let k = sensitivity::SweepKind::SiteDisaster;
-            sensitivity::run(k, &k.paper_rates(), budget, seed).to_string()
+        "figure4" => {
+            let fig = figure4::run(&figure4::paper_app_counts(), budget, seed);
+            (fig.to_string(), Some(csv::figure4_csv(&fig)))
         }
-        "ablation" => ablation::run(budget, &[seed, seed + 1, seed + 2]).to_string(),
+        "figure5" => sweep(sensitivity::SweepKind::DataObject),
+        "figure6" => sweep(sensitivity::SweepKind::DiskArray),
+        "figure7" => sweep(sensitivity::SweepKind::SiteDisaster),
+        "ablation" => {
+            let seeds: Vec<u64> = (0..ABLATION_SEEDS).map(|i| seed.wrapping_add(i)).collect();
+            let result = ablation::run(budget, &seeds);
+            (result.to_string(), Some(csv::ablation_csv(&result)))
+        }
+        "scheduling" => match scheduling::run(budget, seed) {
+            Some(study) => (study.to_string(), None),
+            None => ("no feasible design found\n".into(), None),
+        },
         other => return Err(format!("unknown experiment: {other}").into()),
     };
     Ok(out)
@@ -1006,10 +1046,27 @@ mod tests {
 
     #[test]
     fn experiments_dispatch() {
-        let out =
+        let (out, csv) =
             cmd_experiment("figure2", RunOptions { budget: 10, seed: 1, ..RunOptions::default() })
                 .unwrap();
         assert!(out.contains("Figure 2"));
+        assert!(csv.is_some_and(|c| c.starts_with("bin_lo_dollars,")), "figure2 has a CSV");
+        let small = RunOptions { budget: 1, seed: 1, ..RunOptions::default() };
+        let (out, _) = cmd_experiment("scheduling", small).unwrap();
+        assert!(out.contains("policy"), "{out}");
+        let (out, _) = cmd_experiment("figure3_wallclock", small).unwrap();
+        assert!(out.contains("Figure 3"), "{out}");
         assert!(cmd_experiment("figure9", RunOptions::default()).is_err());
+    }
+
+    /// figure2 draws ten samples per budget unit; a budget whose sample
+    /// count does not fit a `usize` is an error, not a wrapped count.
+    #[test]
+    fn figure2_rejects_a_budget_whose_sample_count_overflows() {
+        for budget in [u64::MAX, 1 << 63] {
+            let err = cmd_experiment("figure2", RunOptions { budget, ..RunOptions::default() })
+                .expect_err("sample count overflows");
+            assert!(err.to_string().contains("too large"), "{err}");
+        }
     }
 }

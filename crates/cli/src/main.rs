@@ -8,7 +8,8 @@
 //!     [--progress] [--progress-log progress.jsonl]
 //! dsd evaluate env.toml design.json      # re-evaluate a saved design
 //! dsd explain env.toml design.json [--top N] [--json report.json]
-//! dsd experiment table4|figure2..figure7|ablation [--budget N] [--seed N]
+//! dsd experiment table4|figure2..figure7|figure3_wallclock|ablation|scheduling
+//!     [--budget N] [--seed N] [--csv out.csv] [--trace trace.jsonl] [--metrics metrics.json]
 //! dsd obs summary trace.jsonl [metrics.json] [--top N]
 //! dsd obs profile trace.jsonl [metrics.json] [--top N] [--json profile.json]
 //! dsd obs flame trace.jsonl [--chrome-trace enriched.json]
@@ -29,7 +30,7 @@ use dsd_cli::commands::{
 use dsd_cli::live::ProgressMonitor;
 
 fn usage() -> &'static str {
-    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure4|figure5|figure6|figure7|ablation> [--budget N] [--seed N] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
+    "usage:\n  dsd init\n  dsd tables\n  dsd design <spec.toml> [--budget N] [--seed N] [--portfolio] [--threads N] [--save <design.json>] [--report <report.md>] [--trace <trace.jsonl>] [--metrics <metrics.json>] [--chrome-trace <trace.json>] [--progress] [--progress-log <progress.jsonl>]\n  dsd evaluate <spec.toml> <design.json>\n  dsd explain <spec.toml> <design.json> [--top N] [--json <report.json>]\n  dsd experiment <table4|figure2|figure3|figure3_wallclock|figure4|figure5|figure6|figure7|ablation|scheduling> [--budget N] [--seed N] [--csv <out.csv>] [--trace <trace.jsonl>] [--metrics <metrics.json>]\n    (--budget is solver iterations; figure2 draws 10 samples per unit; figure3_wallclock gives each heuristic N seconds of wall clock)\n  dsd analyze-trace <trace.csv>\n  dsd obs summary <trace.jsonl> [<metrics.json>] [--top N]\n  dsd obs profile <trace.jsonl> [<metrics.json>] [--top N] [--json <profile.json>]\n  dsd obs flame <trace.jsonl> [--chrome-trace <enriched.json>]\n  dsd obs curve <progress.jsonl>... [--lane N] [--json <report.json>] [--csv <curve.csv>]\n  dsd obs diff <run-a.json> <run-b.json> [--fail-on-regression]\n  dsd tournament [--budget N] [--seed N] [--apps N] [--json <report.json>]"
 }
 
 /// Output-file options pulled from the flags.
@@ -51,10 +52,19 @@ struct OutputPaths {
 }
 
 impl OutputPaths {
-    /// Whether any flag asked for observability output (and therefore a
-    /// recorder must be installed around the solver run).
-    fn wants_recording(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some() || self.chrome_trace.is_some()
+    /// The first flag that asks for observability output (and therefore
+    /// a recorder installed around the solver run). On `obs flame`,
+    /// `--chrome-trace` names that command's own output instead.
+    fn recording_flag(&self, obs_flame: bool) -> Option<&'static str> {
+        if self.trace.is_some() {
+            Some("--trace")
+        } else if self.metrics.is_some() {
+            Some("--metrics")
+        } else if self.chrome_trace.is_some() && !obs_flame {
+            Some("--chrome-trace")
+        } else {
+            None
+        }
     }
 }
 
@@ -172,10 +182,20 @@ fn export_observability(
 fn run() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (positional, options, outputs) = parse_flags(&args)?;
-    // Solver-running commands record when any observability output was
-    // requested; the guard must drop before exporting so per-thread
-    // buffers flush.
-    let recorder = outputs.wants_recording().then(dsd_obs::Recorder::new);
+    // `design` and `experiment` record when any observability output
+    // was requested (the guard must drop before exporting so per-thread
+    // buffers flush); every other command would silently write nothing,
+    // so it refuses the flag.
+    let records = matches!(positional.first(), Some(&("design" | "experiment")));
+    let recorder = match outputs.recording_flag(positional.starts_with(&["obs", "flame"])) {
+        Some(flag) if !records => {
+            return Err(
+                format!("{flag} is only accepted by `dsd design` and `dsd experiment`").into()
+            )
+        }
+        Some(_) => Some(dsd_obs::Recorder::new()),
+        None => None,
+    };
     match positional.as_slice() {
         ["init"] => print!("{}", cmd_init()),
         ["tables"] => print!("{}", cmd_tables()),
@@ -229,7 +249,13 @@ fn run() -> Result<(), Box<dyn Error>> {
             if let Some(recorder) = &recorder {
                 export_observability(recorder, &outputs)?;
             }
-            print!("{}", result?);
+            let (text, csv) = result?;
+            print!("{text}");
+            if let Some(path) = outputs.csv {
+                let csv = csv.ok_or_else(|| format!("experiment {name} wrote no CSV"))?;
+                fs::write(&path, csv)?;
+                println!("csv written to {path}");
+            }
         }
         ["analyze-trace", trace_path] => {
             let trace = fs::read_to_string(trace_path)?;

@@ -472,3 +472,50 @@ fn tables_subcommand_prints_catalogs() {
     assert!(text.contains("Table 1"));
     assert!(text.contains("XP1200"));
 }
+
+/// `dsd experiment --csv` writes exactly the CSV the experiment driver
+/// renders for the same run.
+#[test]
+fn experiment_csv_matches_the_driver() {
+    use dsd_core::Budget;
+    use dsd_scenarios::experiments::{csv, figure2, table4};
+
+    let dir = std::env::temp_dir().join(format!("dsd-experiment-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let table = table4::run(Budget::iterations(10), 5).expect("feasible at budget 10");
+    let cases = [
+        ("table4", csv::table4_csv(&table)),
+        ("figure2", csv::figure2_csv(&figure2::run(100, 24, 5))),
+    ];
+    for (name, expected) in cases {
+        let path = dir.join(format!("{name}.csv"));
+        let out = dsd()
+            .args(["experiment", name, "--budget", "10", "--seed", "5", "--csv"])
+            .arg(&path)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected, "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Only `design` and `experiment` install a recorder; any other command
+/// refuses a recording flag instead of exiting 0 with nothing written.
+#[test]
+fn recording_flags_are_refused_where_nothing_records() {
+    let dir = std::env::temp_dir().join(format!("dsd-noreco-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("out.json");
+    for (command, flag) in [
+        (&["tournament", "--apps", "2", "--budget", "4"][..], "--trace"),
+        (&["init"][..], "--metrics"),
+        (&["tables"][..], "--chrome-trace"),
+    ] {
+        let out = dsd().args(command).arg(flag).arg(&path).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{command:?} {flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag), "{command:?} {flag}");
+        assert!(!path.exists(), "{command:?} {flag} wrote a file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

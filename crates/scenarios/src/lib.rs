@@ -12,7 +12,7 @@
 //!
 //! [`experiments`] contains one driver per table/figure of the evaluation;
 //! each returns structured data and renders a text table comparable to
-//! the paper's, so the `dsd-bench` binaries stay thin.
+//! the paper's, so `dsd experiment` stays thin.
 //!
 //! # Examples
 //!
